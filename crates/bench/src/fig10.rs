@@ -8,7 +8,7 @@
 //! intervals".
 
 use crate::format_table;
-use crate::setup::{aged_system, AgedSpec, DevKind, DiskKind, FsKind};
+use crate::setup::{AgedSpec, DevKind, DiskKind, FsKind, SharedAged};
 use crate::workload::{rng, BLOCK};
 use fscore::{FileId, FileSystem, FsResult, HostModel};
 use rand::Rng;
@@ -60,6 +60,32 @@ fn spec(host: HostModel, total_blocks: u64) -> AgedSpec {
     }
 }
 
+/// One (burst, idle) cell of Figure 10 or 11: the burst/idle benchmark on
+/// a fresh fork of the figure's shared aged state.
+pub(crate) fn burst_idle_cell(
+    base: &SharedAged,
+    burst_kb: u64,
+    idle_s: f64,
+    total_blocks: u64,
+    seed: u64,
+) -> f64 {
+    let (mut fs, f, file_blocks) = base.fork().expect("setup");
+    burst_idle_bench(
+        &mut fs,
+        f,
+        file_blocks,
+        burst_kb * 1024 / BLOCK as u64,
+        (idle_s * 1e9) as u64,
+        total_blocks,
+        seed,
+    )
+    .expect("bench")
+}
+
+fn cell(base: &SharedAged, burst_kb: u64, idle_s: f64, total_blocks: u64) -> f64 {
+    burst_idle_cell(base, burst_kb, idle_s, total_blocks, 0xF20 ^ burst_kb)
+}
+
 /// Measure one series (burst size fixed, idle varied).
 pub fn series(
     burst_kb: u64,
@@ -67,23 +93,10 @@ pub fn series(
     total_blocks: u64,
     host: HostModel,
 ) -> Vec<(f64, f64)> {
+    let base = SharedAged::new(spec(host, total_blocks)).expect("setup");
     idles_s
         .iter()
-        .map(|&idle| {
-            let (mut fs, f, file_blocks) =
-                aged_system(&spec(host, total_blocks)).expect("setup");
-            let ms = burst_idle_bench(
-                &mut fs,
-                f,
-                file_blocks,
-                burst_kb * 1024 / BLOCK as u64,
-                (idle * 1e9) as u64,
-                total_blocks,
-                0xF20 ^ burst_kb,
-            )
-            .expect("bench");
-            (idle, ms)
-        })
+        .map(|&idle| (idle, cell(&base, burst_kb, idle, total_blocks)))
         .collect()
 }
 
@@ -97,9 +110,8 @@ pub fn run(total_blocks: u64) -> String {
         .iter()
         .flat_map(|&b| idles.iter().map(move |&idle| (b, idle)))
         .collect();
-    let cells = crate::par::pmap(points, |(b, idle)| {
-        series(b, &[idle], total_blocks, host)[0].1
-    });
+    let base = SharedAged::new(spec(host, total_blocks)).expect("setup");
+    let cells = crate::par::pmap(points, |(b, idle)| cell(&base, b, idle, total_blocks));
     let rows: Vec<Vec<String>> = idles
         .iter()
         .enumerate()

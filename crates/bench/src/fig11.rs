@@ -6,10 +6,9 @@
 //! performance "improves along a continuum of relatively small idle
 //! intervals" (fractions of a second rather than seconds).
 
-use crate::fig10::burst_idle_bench;
+use crate::fig10::burst_idle_cell;
 use crate::format_table;
-use crate::setup::{aged_system, AgedSpec, DevKind, DiskKind, FsKind};
-use crate::workload::BLOCK;
+use crate::setup::{AgedSpec, DevKind, DiskKind, FsKind, SharedAged};
 use fscore::HostModel;
 
 /// The paper's burst sizes for this figure (KB).
@@ -26,6 +25,10 @@ fn spec(host: HostModel, total_blocks: u64) -> AgedSpec {
     }
 }
 
+fn cell(base: &SharedAged, burst_kb: u64, idle_s: f64, total_blocks: u64) -> f64 {
+    burst_idle_cell(base, burst_kb, idle_s, total_blocks, 0xF21 ^ burst_kb)
+}
+
 /// Measure one series (burst size fixed, idle varied).
 pub fn series(
     burst_kb: u64,
@@ -33,23 +36,10 @@ pub fn series(
     total_blocks: u64,
     host: HostModel,
 ) -> Vec<(f64, f64)> {
+    let base = SharedAged::new(spec(host, total_blocks)).expect("setup");
     idles_s
         .iter()
-        .map(|&idle| {
-            let (mut fs, f, file_blocks) =
-                aged_system(&spec(host, total_blocks)).expect("setup");
-            let ms = burst_idle_bench(
-                &mut fs,
-                f,
-                file_blocks,
-                burst_kb * 1024 / BLOCK as u64,
-                (idle * 1e9) as u64,
-                total_blocks,
-                0xF21 ^ burst_kb,
-            )
-            .expect("bench");
-            (idle, ms)
-        })
+        .map(|&idle| (idle, cell(&base, burst_kb, idle, total_blocks)))
         .collect()
 }
 
@@ -62,9 +52,8 @@ pub fn run(total_blocks: u64) -> String {
         .iter()
         .flat_map(|&b| idles.iter().map(move |&idle| (b, idle)))
         .collect();
-    let cells = crate::par::pmap(points, |(b, idle)| {
-        series(b, &[idle], total_blocks, host)[0].1
-    });
+    let base = SharedAged::new(spec(host, total_blocks)).expect("setup");
+    let cells = crate::par::pmap(points, |(b, idle)| cell(&base, b, idle, total_blocks));
     let rows: Vec<Vec<String>> = idles
         .iter()
         .enumerate()

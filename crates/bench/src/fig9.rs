@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use crate::format_table;
-use crate::setup::{aged_system, AgedSpec, DevKind, DiskKind, FsKind};
+use crate::setup::{build_aged, AgedSpec, DevKind, DiskKind, FsKind};
 use crate::workload::{random_updates, rng};
 use fscore::{FileSystem, FsResult, HostModel};
 
@@ -38,7 +38,7 @@ impl Breakdown {
 /// six measurements, so whichever section runs second replays recorded
 /// results instead of re-simulating them. A hit credits the recorded
 /// simulated-event count back to the global counter (the same discipline as
-/// the aged-system snapshot cache), so per-section event totals match a
+/// [`crate::setup::SharedAged`] forks), so per-section event totals match a
 /// from-scratch run exactly. Gated on the snapshot switch: with
 /// `VLFS_SNAPSHOT=0` every call measures from scratch.
 type MeasureKey = (DevKind, DiskKind, HostModel, u64);
@@ -77,7 +77,8 @@ fn measure_fresh(
 ) -> FsResult<(Breakdown, u64)> {
     // Footnote 1 of the paper: the VLD is measured "immediately after
     // running a compactor" — so provision an empty-track pool large enough
-    // to cover the measured window.
+    // to cover the measured window. The memo above means each aged state
+    // is used once, so it is built directly rather than snapshotted.
     let spec = AgedSpec {
         sync_writes: true,
         vld_target_empty_tracks: match dev {
@@ -86,7 +87,7 @@ fn measure_fresh(
         },
         ..AgedSpec::new(FsKind::Ufs, dev, disk, host, 0.8)
     };
-    let (mut fs, f, file_blocks) = aged_system(&spec)?;
+    let (mut fs, f, file_blocks) = build_aged(&spec)?;
     let mut r = rng(0xF19);
     // Warm up, then replenish the compactor's pool so every measured chunk
     // runs right after a compaction pass, as in the paper. Idle grants are

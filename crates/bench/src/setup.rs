@@ -1,14 +1,14 @@
 //! Construction of the paper's system combinations (its Figure 5): a file
 //! system (UFS or LFS) over a device (regular disk or VLD) on a simulated
 //! drive (HP97560 or Seagate ST19101), timed against a host model — plus
-//! the *aged-system cache*: every figure cell that starts from "system with
-//! an aged file at some utilisation" describes that state as an
-//! [`AgedSpec`], and [`aged_system`] builds each distinct state once,
-//! snapshots it ([`ufs::UfsSnapshot`]), and hands every cell an independent
-//! copy-on-write fork instead of re-running the setup workload per cell.
+//! the *aged states* figure cells start from: every cell that starts from
+//! "system with an aged file at some utilisation" describes that state as
+//! an [`AgedSpec`]. A state only one cell uses is built directly
+//! ([`build_aged`]); a state several cells share is built once by the
+//! figure, snapshotted ([`ufs::UfsSnapshot`]), and forked copy-on-write per
+//! cell ([`SharedAged`]).
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use disksim::{BlockDevice, DiskSpec, RegularDisk, SimClock};
 use fscore::{FileId, FileSystem, FsResult, HostModel};
@@ -110,7 +110,7 @@ pub fn combo_label(fs: FsKind, dev: DevKind) -> String {
 /// system combination, the single target file's size as a fraction of
 /// usable capacity, whether writes are synchronous, and any deterministic
 /// warm-up applied before measurement begins. Two cells with equal specs
-/// start from byte-identical states, which is what lets [`aged_system`]
+/// start from byte-identical states, which is what lets [`SharedAged`]
 /// build the state once and fork it per cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgedSpec {
@@ -149,102 +149,6 @@ impl AgedSpec {
             vld_target_empty_tracks: None,
         }
     }
-
-    /// Content key for the snapshot cache (the fraction keyed by its bits —
-    /// specs compare equal exactly when they build equal states).
-    fn key(&self) -> AgedKey {
-        (
-            self.fs,
-            self.dev,
-            self.disk,
-            self.host,
-            self.file_frac.to_bits(),
-            self.sync_writes,
-            self.warmup_blocks,
-            self.vld_target_empty_tracks,
-        )
-    }
-}
-
-type AgedKey = (
-    FsKind,
-    DevKind,
-    DiskKind,
-    HostModel,
-    u64,
-    bool,
-    u64,
-    Option<u32>,
-);
-
-/// A cached aged build: the snapshot plus the handle and size of the
-/// target file inside it (both identical in every fork by construction).
-struct CachedAged {
-    snap: UfsSnapshot,
-    file: FileId,
-    file_blocks: u64,
-}
-
-/// Per-key build cells: concurrent workers asking for the same key block on
-/// one `OnceLock` while the first builds (the build is deterministic, so it
-/// does not matter which worker wins). `None` records a state whose device
-/// stack cannot snapshot — those keys fall back to rebuilding per cell.
-struct CacheEntry {
-    cell: Arc<OnceLock<Option<CachedAged>>>,
-    last_use: u64,
-}
-
-/// The aged cache holds at most this many snapshots. A snapshot retains
-/// the aged system's full media image and buffer cache (tens of MB), and
-/// figures like Figure 8 mint a fresh single-use key per cell — an
-/// unbounded cache would pin hundreds of MB of dead state for the rest of
-/// the run, whose live heap chunks measurably slow every later build. The
-/// cap only needs to cover the largest genuinely-shared working set
-/// (Table 2 + Figure 9 reuse six keys across sections); eviction can never
-/// change results, only cost a rebuild on a later miss.
-const AGED_CACHE_CAP: usize = 8;
-
-struct AgedCache {
-    map: HashMap<AgedKey, CacheEntry>,
-    tick: u64,
-}
-
-fn cache() -> &'static Mutex<AgedCache> {
-    static CACHE: OnceLock<Mutex<AgedCache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(AgedCache {
-            map: HashMap::new(),
-            tick: 0,
-        })
-    })
-}
-
-/// Fetch (or insert) the build cell for `key`, bumping its LRU stamp and
-/// evicting the stalest *initialised* entry if the cache is over
-/// [`AGED_CACHE_CAP`]. In-flight cells (some worker is still building) are
-/// never evicted; a worker already holding an evicted cell's `Arc` simply
-/// finishes with it.
-fn cache_cell(key: AgedKey) -> Arc<OnceLock<Option<CachedAged>>> {
-    let mut c = cache().lock().expect("aged cache poisoned");
-    c.tick += 1;
-    let tick = c.tick;
-    if !c.map.contains_key(&key) && c.map.len() >= AGED_CACHE_CAP {
-        let evict = c
-            .map
-            .iter()
-            .filter(|(_, e)| e.cell.get().is_some())
-            .min_by_key(|(_, e)| e.last_use)
-            .map(|(k, _)| *k);
-        if let Some(k) = evict {
-            c.map.remove(&k);
-        }
-    }
-    let entry = c.map.entry(key).or_insert_with(|| CacheEntry {
-        cell: Arc::default(),
-        last_use: tick,
-    });
-    entry.last_use = tick;
-    Arc::clone(&entry.cell)
 }
 
 /// Snapshot forking is on by default. `VLFS_SNAPSHOT=0` — or reference mode
@@ -259,9 +163,11 @@ pub fn snapshots_enabled() -> bool {
     })
 }
 
-/// Build the aged state described by `spec` from scratch, bypassing the
-/// snapshot cache. This is the per-cell path when snapshots are disabled,
-/// and the oracle the fork-identity tests compare against.
+/// Build the aged state described by `spec` from scratch. Cells whose
+/// state no other cell shares call this directly (a snapshot would cost a
+/// media flatten plus copy-on-write faults for a single use); it is also
+/// the per-cell path of [`SharedAged`] when snapshots are disabled, and the
+/// oracle the fork-identity tests compare against.
 pub fn build_aged(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
     let mut fs = match (spec.dev, spec.vld_target_empty_tracks) {
         (DevKind::Vld, Some(target)) => {
@@ -288,44 +194,46 @@ pub fn build_aged(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
     Ok((fs, f, file_blocks))
 }
 
-/// An independent system in the aged state described by `spec`, plus the
-/// target file's handle and length in blocks.
+/// An aged state that several figure cells start from, owned by the figure
+/// that runs them: built once up front, then [`fork`](SharedAged::fork)ed
+/// per cell in O(metadata) — media tracks, map pages and cache payloads
+/// stay shared copy-on-write until a fork writes them. Dropping the value
+/// releases the snapshot, so nothing outlives the figure.
 ///
-/// The first request for a given spec builds the state and caches a
-/// [`UfsSnapshot`]; every request (including the first) is then served by
-/// forking the snapshot in O(metadata) — media tracks, map pages and cache
-/// payloads stay shared copy-on-write until a fork writes them. Event
-/// accounting is rebuild-equivalent: the cached build's simulation events
-/// are subtracted once and re-credited by every fork, so per-figure event
-/// totals match a mode where each cell rebuilds from scratch.
-///
-/// With snapshots disabled ([`snapshots_enabled`]) every call is a plain
-/// from-scratch build — the oracle the CI identity gate compares against.
-pub fn aged_system(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
-    if !snapshots_enabled() {
-        return build_aged(spec);
-    }
-    let cell = cache_cell(spec.key());
-    let cached = cell.get_or_init(|| {
-        let (fs, file, file_blocks) = build_aged(spec).ok()?;
-        let snap = fs.snapshot()?;
-        // The cached build's events are subtracted once here and re-credited
-        // by every fork below, so event totals match rebuild-per-cell mode.
-        disksim::clock::sub_events(snap.local_events());
-        Some(CachedAged {
-            snap,
-            file,
-            file_blocks,
-        })
-    });
-    match cached {
-        Some(c) => {
-            disksim::clock::add_events(c.snap.local_events());
-            Ok((c.snap.restore(), c.file, c.file_blocks))
+/// Event accounting is rebuild-equivalent: the build's simulation events
+/// are subtracted once and credited back by every fork, so per-figure event
+/// totals match a mode where each cell rebuilds from scratch. With
+/// snapshots disabled ([`snapshots_enabled`]), or on a stack that cannot
+/// snapshot, every fork is a from-scratch [`build_aged`].
+pub struct SharedAged {
+    spec: AgedSpec,
+    built: Option<(UfsSnapshot, FileId, u64)>,
+}
+
+impl SharedAged {
+    /// Build the state `spec` describes (when snapshots are enabled).
+    pub fn new(spec: AgedSpec) -> FsResult<Self> {
+        let mut built = None;
+        if snapshots_enabled() {
+            let (fs, file, file_blocks) = build_aged(&spec)?;
+            if let Some(snap) = fs.snapshot() {
+                disksim::clock::sub_events(snap.local_events());
+                built = Some((snap, file, file_blocks));
+            }
         }
-        // Build failed or the stack cannot snapshot: rebuild per cell (and
-        // surface the per-cell error, if any).
-        None => build_aged(spec),
+        Ok(Self { spec, built })
+    }
+
+    /// An independent system in the shared state, plus the target file's
+    /// handle and length in blocks.
+    pub fn fork(&self) -> FsResult<(Ufs, FileId, u64)> {
+        match &self.built {
+            Some((snap, file, file_blocks)) => {
+                disksim::clock::add_events(snap.local_events());
+                Ok((snap.restore(), *file, *file_blocks))
+            }
+            None => build_aged(&self.spec),
+        }
     }
 }
 

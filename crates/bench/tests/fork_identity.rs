@@ -1,6 +1,6 @@
-//! Fork-vs-rebuild identity properties for the aged-system snapshot cache.
+//! Fork-vs-rebuild identity properties for shared aged-state snapshots.
 //!
-//! The snapshot engine's contract is that a fork of a cached aged build is
+//! The snapshot engine's contract is that a fork of a shared aged build is
 //! *indistinguishable* from a from-scratch rebuild of the same
 //! [`AgedSpec`]: same measured latencies (bit-for-bit), same virtual clock,
 //! same logical media contents, same disk statistics — across all four
@@ -12,7 +12,7 @@ use disksim::fault::content_hash;
 use disksim::{par, FaultDisk, FaultPlan, RegularDisk, SimClock};
 use fscore::{FileId, FileSystem, HostModel};
 use ufs::{Ufs, UfsConfig};
-use vlfs_bench::setup::{aged_system, build_aged, AgedSpec, DevKind, DiskKind, FsKind};
+use vlfs_bench::setup::{build_aged, AgedSpec, DevKind, DiskKind, FsKind, SharedAged};
 use vlfs_bench::workload::{make_file, steady_state_update_ms, BLOCK};
 
 /// A behavioural fingerprint of a system: everything a figure cell could
@@ -173,9 +173,9 @@ fn fork_mutation_is_isolated() {
     assert_eq!(read_hash(&mut late), before, "snapshot itself was mutated");
 }
 
-/// The cached path ([`aged_system`]) serves concurrent workers the same
-/// state the rebuild oracle produces, at pool widths 1 and 4: every cell's
-/// fingerprint matches, wherever the build races land.
+/// A figure-owned [`SharedAged`] serves concurrent workers the same state
+/// the rebuild oracle produces, at pool widths 1 and 4: every cell forks
+/// the one shared build, and every cell's fingerprint matches.
 #[test]
 fn cached_forks_match_rebuilds_under_parallel_workers() {
     let s = spec(FsKind::Ufs, DevKind::Vld, DiskKind::Seagate);
@@ -188,10 +188,11 @@ fn cached_forks_match_rebuilds_under_parallel_workers() {
         })
         .collect();
     for width in [1usize, 4] {
+        let base = SharedAged::new(s).expect("shared build");
         let got = par::pmap_in(width, cells.clone(), |_| {
-            let (fs, f, fb) = aged_system(&s).expect("cached fork");
+            let (fs, f, fb) = base.fork().expect("shared fork");
             fingerprint(fs, f, fb, 60)
         });
-        assert_eq!(got, oracle, "width {width}: cached fork diverged");
+        assert_eq!(got, oracle, "width {width}: shared fork diverged");
     }
 }

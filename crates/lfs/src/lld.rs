@@ -20,8 +20,8 @@
 //! the paper's "LFS on VLD" configuration.
 
 use crate::seg::{
-    fnv64, seg_to_slot, slot_device_block, slot_to_seg, summary_block, SegState, Summary, NONE,
-    SEG_BLOCKS, SEG_DATA,
+    fnv64, seg_to_slot, slot_device_block, slot_to_seg, summary_block, Fnv64, SegState, Summary,
+    NONE, SEG_BLOCKS, SEG_DATA,
 };
 use disksim::{BlockDevice, DeviceSnapshot, DiskStats, Result as DiskResult, ServiceTime, SimClock};
 use fscore::{FsError, FsResult};
@@ -76,9 +76,16 @@ pub struct CleanerStats {
 struct OpenSeg {
     seg: u32,
     summary: Summary,
-    data: Vec<u8>,
+    /// The segment's on-disk image: block 0 is reserved for the encoded
+    /// summary, data slot `i` is block `1 + i`. A flush encodes the summary
+    /// in place and writes a prefix of this buffer as one command.
+    image: Vec<u8>,
     /// Slots already written to the device by a partial flush.
     flushed: u32,
+    /// Running checksum over data slots `0..flushed`: slots are immutable
+    /// once appended, so each flush hashes only the slots added since the
+    /// previous one.
+    csum: Fnv64,
 }
 
 /// The log-structured logical disk.
@@ -541,8 +548,9 @@ impl LogDisk {
             self.open = Some(OpenSeg {
                 seg,
                 summary: Summary::empty(),
-                data: vec![0u8; (SEG_DATA as usize) * self.block_size],
+                image: vec![0u8; (SEG_BLOCKS as usize) * self.block_size],
                 flushed: 0,
+                csum: Fnv64::new(),
             });
         }
         Ok(self.open.as_mut().expect("just ensured"))
@@ -561,8 +569,8 @@ impl LogDisk {
         let bs = self.block_size;
         let open = self.open_mut()?;
         let idx = open.summary.fill;
-        let off = idx as usize * bs;
-        open.data[off..off + bs].copy_from_slice(buf);
+        let off = (1 + idx as usize) * bs;
+        open.image[off..off + bs].copy_from_slice(buf);
         open.summary.owners[idx as usize] = lb as u32;
         open.summary.fill += 1;
         let seg = open.seg;
@@ -618,17 +626,6 @@ impl LogDisk {
         self.flush_seq
     }
 
-    /// Assemble the one-command write image for a segment flush: the
-    /// encoded summary followed by the first `fill` data slots. Built with
-    /// two bulk copies — this runs on every seal/flush, where an
-    /// element-wise iterator collect of the ~512 KB image was measurable.
-    fn seg_image(summary: &Summary, data: &[u8], fill: usize, bs: usize) -> Vec<u8> {
-        let mut image = Vec::with_capacity((1 + fill) * bs);
-        image.extend_from_slice(&summary.encode(bs));
-        image.extend_from_slice(&data[..fill * bs]);
-        image
-    }
-
     /// The open segment's contents just reached the platter: everything it
     /// superseded is now safely dead, so parked segments become free.
     fn promote_pending_frees(&mut self) {
@@ -648,24 +645,12 @@ impl LogDisk {
     /// Force the open segment's current contents to disk without sealing,
     /// so that frees depending on them can be promoted.
     fn flush_open_now(&mut self) -> FsResult<()> {
-        if let Some(open) = self.open.as_mut() {
-            if open.summary.fill > open.flushed {
-                let seq = self.flush_seq + 1;
-                self.flush_seq = seq;
-                let open = self.open.as_mut().expect("checked above");
-                open.summary.seq = seq;
-                let fill = open.summary.fill;
-                open.summary.data_csum =
-                    fnv64(&[&open.data[..fill as usize * self.block_size]]);
-                let image =
-                    Self::seg_image(&open.summary, &open.data, fill as usize, self.block_size);
-                let start = summary_block(open.seg);
-                open.flushed = fill;
-                let (spans, sp) = self.open_span(disksim::SpanKind::LogAppend, "lld.seg_flush");
-                let r = self.dev.write_blocks(start, &image);
-                self.close_span(&spans, sp);
-                r?;
-            }
+        if self
+            .open
+            .as_ref()
+            .is_some_and(|o| o.summary.fill > o.flushed)
+        {
+            self.flush_open_in_place()?;
         }
         self.promote_pending_frees();
         Ok(())
@@ -676,11 +661,7 @@ impl LogDisk {
         let Some(mut open) = self.open.take() else {
             return Ok(());
         };
-        open.summary.seq = self.next_flush_seq();
-        open.summary.data_csum = fnv64(&[
-            &open.data[..open.summary.fill as usize * self.block_size]
-        ]);
-        self.write_open_image(&open)?;
+        self.write_seg(&mut open)?;
         self.promote_pending_frees();
         let new = if self.seg_live[open.seg as usize] > 0 {
             SegState::Dirty
@@ -704,32 +685,36 @@ impl LogDisk {
         if frac >= self.cfg.partial_threshold {
             self.seal()
         } else {
-            let open = self.open.as_mut().expect("checked above");
-            let fill = open.summary.fill;
-            open.summary.seq = self.flush_seq + 1;
-            self.flush_seq += 1;
-            let open = self.open.as_mut().expect("checked above");
-            open.summary.data_csum =
-                fnv64(&[&open.data[..fill as usize * self.block_size]]);
-            // Write summary + filled slots in one command.
-            let image =
-                Self::seg_image(&open.summary, &open.data, fill as usize, self.block_size);
-            let start = summary_block(open.seg);
-            open.flushed = fill;
-            let (spans, sp) = self.open_span(disksim::SpanKind::LogAppend, "lld.seg_flush");
-            let r = self.dev.write_blocks(start, &image);
-            self.close_span(&spans, sp);
-            r?;
+            self.flush_open_in_place()?;
             self.promote_pending_frees();
             Ok(())
         }
     }
 
-    fn write_open_image(&mut self, open: &OpenSeg) -> FsResult<()> {
+    /// Write the open segment's current contents while keeping it open.
+    fn flush_open_in_place(&mut self) -> FsResult<()> {
+        let mut open = self.open.take().expect("caller checked the open segment");
+        let r = self.write_seg(&mut open);
+        self.open = Some(open);
+        r
+    }
+
+    /// Stamp a fresh flush sequence and the data checksum into `open`'s
+    /// summary, encode it into block 0 of the image, and write the summary
+    /// plus every appended slot in one command.
+    fn write_seg(&mut self, open: &mut OpenSeg) -> FsResult<()> {
+        let bs = self.block_size;
         let fill = open.summary.fill as usize;
-        let image = Self::seg_image(&open.summary, &open.data, fill, self.block_size);
+        open.summary.seq = self.next_flush_seq();
+        open.csum
+            .update(&open.image[(1 + open.flushed as usize) * bs..(1 + fill) * bs]);
+        open.flushed = fill as u32;
+        open.summary.data_csum = open.csum.finish();
+        open.summary.encode_into(&mut open.image[..bs]);
         let (spans, sp) = self.open_span(disksim::SpanKind::LogAppend, "lld.seg_flush");
-        let r = self.dev.write_blocks(summary_block(open.seg), &image);
+        let r = self
+            .dev
+            .write_blocks(summary_block(open.seg), &open.image[..(1 + fill) * bs]);
         self.close_span(&spans, sp);
         r?;
         Ok(())
@@ -902,8 +887,8 @@ impl BlockDevice for LogDisk {
         if let Some(open) = &self.open {
             let (seg, idx) = slot_to_seg(slot as u64);
             if seg == open.seg {
-                let off = idx as usize * self.block_size;
-                buf.copy_from_slice(&open.data[off..off + self.block_size]);
+                let off = (1 + idx as usize) * self.block_size;
+                buf.copy_from_slice(&open.image[off..off + self.block_size]);
                 return Ok(ServiceTime::ZERO);
             }
         }
@@ -913,15 +898,13 @@ impl BlockDevice for LogDisk {
     fn write_block(&mut self, block: u64, buf: &[u8]) -> DiskResult<ServiceTime> {
         let clock = self.dev.clock();
         let t0 = clock.now();
-        let t0_busy = self.dev.disk_stats().busy;
         self.append(block, buf).map_err(|e| match e {
             FsError::NoSpace => disksim::DiskError::NoSpace,
             FsError::Disk(d) => d,
             _ => disksim::DiskError::Unsupported("log append failed"),
         })?;
-        // Report the device time this append actually triggered (zero for
-        // a pure buffer append; a sealed segment's flush otherwise).
-        let _ = t0_busy;
+        // Report the time this append actually took (zero for a pure buffer
+        // append; a sealed segment's flush otherwise).
         Ok(ServiceTime {
             overhead_ns: 0,
             seek_ns: 0,
@@ -1085,6 +1068,111 @@ mod tests {
 
     fn lld() -> LogDisk {
         LogDisk::format(raw(), LldConfig::default()).unwrap()
+    }
+
+    /// A segment flush as it was assembled before segments were written in
+    /// place: the encoded summary, then the first `fill` data slots.
+    fn assembled_image(summary: &Summary, data: &[u8], bs: usize) -> Vec<u8> {
+        let mut image = summary.encode(bs);
+        image.extend_from_slice(&data[..summary.fill as usize * bs]);
+        image
+    }
+
+    /// The open segment as a test model sees it: its number, the appended
+    /// slot contents and owners.
+    #[derive(Default)]
+    struct SegModel {
+        seg: u32,
+        data: Vec<u8>,
+        owners: Vec<u32>,
+    }
+
+    impl SegModel {
+        /// Read what the last flush of this segment put on the media and
+        /// compare it with the assembled image of the expected summary.
+        fn check_media(&self, lld: &mut LogDisk) -> Result<(), proptest::prelude::TestCaseError> {
+            let bs = lld.block_size;
+            let fill = self.owners.len();
+            let mut owners = self.owners.clone();
+            owners.resize(SEG_DATA as usize, NONE);
+            let want = Summary {
+                owners,
+                fill: fill as u32,
+                seq: lld.flush_seq,
+                data_csum: fnv64(&[&self.data]),
+            };
+            let mut got = vec![0u8; (1 + fill) * bs];
+            lld.dev
+                .read_blocks(summary_block(self.seg), &mut got)
+                .expect("read back the flushed segment");
+            proptest::prop_assert!(
+                got == assembled_image(&want, &self.data, bs),
+                "segment {} at fill {fill}: media differs from the assembled image",
+                self.seg
+            );
+            Ok(())
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 16,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Across random append / partial-flush / seal interleavings, every
+        /// flush writes exactly the bytes of the old summary-plus-slots
+        /// assembly, and the open segment's running checksum is `fnv64` of
+        /// the flushed prefix. `mix` 0 seals only when segments fill up (or
+        /// rarely by hand), 1 interleaves partial flushes (which seal past
+        /// the threshold), 2 mixes both.
+        #[test]
+        fn in_place_flushes_match_assembled_images(
+            mix in 0u8..3,
+            ops in proptest::collection::vec((0u8..100, 0u64..64, proptest::prelude::any::<u8>()), 1..500),
+        ) {
+            let mut lld = lld();
+            let bs = lld.block_size;
+            let mut model = SegModel::default();
+            for (kind, lb, byte) in ops {
+                let partial = mix != 0 && (87..97).contains(&kind);
+                let seal = mix != 1 && kind >= 97;
+                if partial || seal {
+                    if model.owners.is_empty() {
+                        continue;
+                    }
+                    if partial {
+                        lld.flush_partial().expect("partial flush");
+                    } else {
+                        lld.seal().expect("seal");
+                    }
+                    model.check_media(&mut lld)?;
+                    match &lld.open {
+                        Some(open) => {
+                            proptest::prop_assert_eq!(open.flushed as usize, model.owners.len());
+                            proptest::prop_assert_eq!(open.csum.finish(), fnv64(&[&model.data]));
+                            proptest::prop_assert_eq!(open.summary.data_csum, open.csum.finish());
+                        }
+                        None => model = SegModel::default(),
+                    }
+                    continue;
+                }
+                let block: Vec<u8> = (0..bs).map(|i| byte ^ (i as u8) ^ (i >> 8) as u8).collect();
+                lld.write_block(lb, &block).expect("append");
+                model.data.extend_from_slice(&block);
+                model.owners.push(lb as u32);
+                match &lld.open {
+                    Some(open) if model.owners.len() == 1 => model.seg = open.seg,
+                    Some(_) => {}
+                    None => {
+                        // The append filled the segment and sealed it.
+                        proptest::prop_assert_eq!(model.owners.len() as u64, SEG_DATA);
+                        model.check_media(&mut lld)?;
+                        model = SegModel::default();
+                    }
+                }
+            }
+        }
     }
 
     #[test]

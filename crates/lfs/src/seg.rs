@@ -32,40 +32,82 @@ const HEAD_BYTES: usize = 16 + SEG_DATA as usize * 4 + 8;
 /// folded into the final step so streams differing only in trailing zeros
 /// stay distinct.
 pub fn fnv64(chunks: &[&[u8]]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut carry = [0u8; 8];
-    let mut pending = 0usize;
-    let mut total = 0u64;
+    let mut h = Fnv64::new();
     for chunk in chunks {
-        total += chunk.len() as u64;
-        let mut rest = *chunk;
-        if pending > 0 {
-            let take = (8 - pending).min(rest.len());
-            carry[pending..pending + take].copy_from_slice(&rest[..take]);
-            pending += take;
+        h.update(chunk);
+    }
+    h.finish()
+}
+
+/// The resumable form of [`fnv64`]: feed the byte stream in any number of
+/// [`update`](Fnv64::update) calls and read the digest of everything fed
+/// so far with [`finish`](Fnv64::finish), which leaves the state intact so
+/// the stream can keep growing. An open segment keeps one of these, so each
+/// flush hashes only the slots appended since the previous one.
+#[derive(Debug, Clone)]
+pub struct Fnv64 {
+    h: u64,
+    /// Bytes of a not-yet-complete word, regrouped across chunks.
+    carry: [u8; 8],
+    pending: usize,
+    total: u64,
+}
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+impl Fnv64 {
+    /// The digest state of the empty stream.
+    pub fn new() -> Self {
+        Self {
+            h: 0xcbf2_9ce4_8422_2325,
+            carry: [0; 8],
+            pending: 0,
+            total: 0,
+        }
+    }
+
+    /// Append `chunk` to the stream.
+    pub fn update(&mut self, chunk: &[u8]) {
+        self.total += chunk.len() as u64;
+        let mut rest = chunk;
+        if self.pending > 0 {
+            let take = (8 - self.pending).min(rest.len());
+            self.carry[self.pending..self.pending + take].copy_from_slice(&rest[..take]);
+            self.pending += take;
             rest = &rest[take..];
-            if pending < 8 {
+            if self.pending < 8 {
                 // The chunk ran out before completing a word; keep the
                 // partial carry for the next chunk.
-                continue;
+                return;
             }
-            h = (h ^ u64::from_le_bytes(carry)).wrapping_mul(PRIME);
+            self.h = (self.h ^ u64::from_le_bytes(self.carry)).wrapping_mul(FNV_PRIME);
         }
         let mut words = rest.chunks_exact(8);
         for w in &mut words {
             let word = u64::from_le_bytes(w.try_into().expect("chunk of 8"));
-            h = (h ^ word).wrapping_mul(PRIME);
+            self.h = (self.h ^ word).wrapping_mul(FNV_PRIME);
         }
         let tail = words.remainder();
-        carry[..tail.len()].copy_from_slice(tail);
-        pending = tail.len();
+        self.carry[..tail.len()].copy_from_slice(tail);
+        self.pending = tail.len();
     }
-    if pending > 0 {
-        carry[pending..].fill(0);
-        h = (h ^ u64::from_le_bytes(carry)).wrapping_mul(PRIME);
+
+    /// The digest of the stream so far.
+    pub fn finish(&self) -> u64 {
+        let mut h = self.h;
+        if self.pending > 0 {
+            let mut last = self.carry;
+            last[self.pending..].fill(0);
+            h = (h ^ u64::from_le_bytes(last)).wrapping_mul(FNV_PRIME);
+        }
+        (h ^ self.total).wrapping_mul(FNV_PRIME)
     }
-    (h ^ total).wrapping_mul(PRIME)
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Per-segment bookkeeping state.
@@ -113,6 +155,14 @@ impl Summary {
     /// sectors of the summary block itself) is detectable.
     pub fn encode(&self, block_size: usize) -> Vec<u8> {
         let mut b = vec![0u8; block_size];
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// [`Summary::encode`] into an existing block buffer (every byte of
+    /// `b` is overwritten).
+    pub fn encode_into(&self, b: &mut [u8]) {
+        b.fill(0);
         b[0..4].copy_from_slice(&SUMMARY_MAGIC.to_le_bytes());
         b[4..8].copy_from_slice(&self.fill.to_le_bytes());
         b[8..16].copy_from_slice(&self.seq.to_le_bytes());
@@ -124,7 +174,6 @@ impl Summary {
         b[data_off..data_off + 8].copy_from_slice(&self.data_csum.to_le_bytes());
         let head_csum = fnv64(&[&b[..HEAD_BYTES]]);
         b[HEAD_BYTES..HEAD_BYTES + 8].copy_from_slice(&head_csum.to_le_bytes());
-        b
     }
 
     /// Decode a summary block, verifying the header checksum.
@@ -241,6 +290,20 @@ mod tests {
         assert_ne!(fnv64(&[&data[..99]]), whole);
         assert_ne!(fnv64(&[&[0u8; 8]]), fnv64(&[&[0u8; 16]]));
         assert_ne!(fnv64(&[&[]]), fnv64(&[&[0u8]]));
+    }
+
+    #[test]
+    fn resumable_digest_matches_one_shot_at_every_prefix() {
+        let data: Vec<u8> = (0..200u8).map(|b| b.wrapping_mul(37)).collect();
+        let mut h = Fnv64::new();
+        let mut fed = 0;
+        // Uneven steps, so word boundaries fall inside and between chunks;
+        // `finish` mid-stream must not disturb later updates.
+        for step in [0usize, 3, 5, 8, 13, 1, 16, 7, 40, 107] {
+            h.update(&data[fed..fed + step]);
+            fed += step;
+            assert_eq!(h.finish(), fnv64(&[&data[..fed]]), "prefix {fed}");
+        }
     }
 
     #[test]
