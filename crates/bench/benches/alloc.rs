@@ -2,9 +2,9 @@
 //! `FreeMap::allocate` at 10 / 50 / 90 % utilization, plus the retained
 //! naive `reference::greedy` oracle at the same fill levels so the
 //! speedup from the hierarchical index and cost pruning is measurable
-//! side by side — and the three allocation modes (best-first indexed,
-//! pruned scan, reference oracle) head-to-head on aged, highly
-//! fragmented disks at 25 / 50 / 75 / 90 % utilization.
+//! side by side — and the two allocation modes (best-first indexed,
+//! reference oracle) head-to-head on aged, highly fragmented disks at
+//! 25 / 50 / 75 / 90 % utilization.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use disksim::{Disk, DiskSpec, SimClock};
@@ -87,9 +87,8 @@ fn aged_map(spec: &DiskSpec, util: f64) -> FreeMap {
     free
 }
 
-/// The three `VLFS_ALLOC` modes side by side on aged disks: the indexed
-/// best-first path must beat the pruned scan, which must beat the naive
-/// oracle, at every fill level.
+/// The two `VLFS_ALLOC` modes side by side on aged disks: the indexed
+/// best-first path must beat the naive oracle at every fill level.
 fn bench_modes_aged(c: &mut Criterion) {
     for pct in [25u32, 50, 75, 90] {
         let mut spec = DiskSpec::st19101_sim();
@@ -98,7 +97,6 @@ fn bench_modes_aged(c: &mut Criterion) {
         let disk = Disk::new(spec, SimClock::new());
         for (label, mode) in [
             ("fast", AllocMode::Fast),
-            ("pruned", AllocMode::Pruned),
             ("reference", AllocMode::Reference),
         ] {
             let mut alloc = EagerAllocator::with_mode(

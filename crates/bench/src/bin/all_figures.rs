@@ -5,7 +5,7 @@
 //! section the figure modules fan their independent simulation points
 //! across a scoped thread pool (`vlfs_bench::par`), so stdout is
 //! byte-identical to a fully sequential run. `--threads N` (or the
-//! `VLFS_BENCH_THREADS` env var) pins the pool width; `--timing-json PATH`
+//! `VLFS_THREADS` env var) pins the pool width; `--timing-json PATH`
 //! writes the per-section wall-clock / simulated-event record that
 //! `BENCH_all_figures.json` archives. The human-readable timing report
 //! goes to stderr so it never perturbs the figure text.

@@ -1,10 +1,11 @@
 //! Deterministic fan-out of independent benchmark points across threads.
 //!
 //! The pool itself now lives in [`disksim::par`] so the model checker and
-//! the crash-point sweeps share it (and its `VLFS_THREADS` knob) without
-//! depending on this crate; the figure modules keep using it through this
-//! re-export. See `disksim::par` for the ordering and determinism
-//! contract.
+//! its crash-point sweeps share it (and its `VLFS_THREADS` knob) without
+//! depending on this crate; the figure modules and the `perfbench`
+//! benchmark (which calls `set_threads(1)` through this path) keep using
+//! it through this re-export. See `disksim::par` for the ordering
+//! and determinism contract.
 
 pub use disksim::par::{pmap, pmap_in, set_threads, threads};
 

@@ -21,7 +21,7 @@ use crate::freemap::FreeMap;
 use disksim::{CylinderPricer, Disk, Metrics, ServiceTime, TrackPricer};
 use std::sync::OnceLock;
 
-/// Which greedy-search implementation answers allocation queries. All three
+/// Which greedy-search implementation answers allocation queries. Both
 /// provably pick the same sector; they differ only in how much work they do
 /// to find it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,15 +29,12 @@ pub enum AllocMode {
     /// Best-first over the [`FreeMap::frontier`] with early exit: stop at
     /// the first candidate whose exact cost meets its frontier lower bound.
     Fast,
-    /// The PR 2 pruned scan: sweep cylinders, reject tracks whose
-    /// repositioning lower bound cannot beat the incumbent.
-    Pruned,
     /// The naive exhaustive oracle: price every reachable slot, take the
     /// `min_by_key`.
     Reference,
 }
 
-/// The process-wide allocator mode: `VLFS_ALLOC={fast,pruned,reference}`,
+/// The process-wide allocator mode: `VLFS_ALLOC={fast,reference}`,
 /// defaulting to [`AllocMode::Fast`] — or to [`AllocMode::Reference`] when
 /// reference mode (`VLFS_REFERENCE=1`) selects every pre-optimisation
 /// oracle path and `VLFS_ALLOC` is not set explicitly. Read once.
@@ -45,9 +42,8 @@ pub fn alloc_mode() -> AllocMode {
     static MODE: OnceLock<AllocMode> = OnceLock::new();
     *MODE.get_or_init(|| match std::env::var("VLFS_ALLOC") {
         Ok(v) if v == "fast" => AllocMode::Fast,
-        Ok(v) if v == "pruned" => AllocMode::Pruned,
         Ok(v) if v == "reference" => AllocMode::Reference,
-        Ok(v) => panic!("VLFS_ALLOC: unknown mode {v:?} (expected fast|pruned|reference)"),
+        Ok(v) => panic!("VLFS_ALLOC: unknown mode {v:?} (expected fast|reference)"),
         Err(_) => {
             if disksim::reference_mode() {
                 AllocMode::Reference
@@ -249,7 +245,7 @@ impl EagerAllocator {
             AllocMode::Reference => {
                 reference::best_in_track(disk, free, self.avoid, cyl, track, align)
             }
-            AllocMode::Fast | AllocMode::Pruned => {
+            AllocMode::Fast => {
                 self.best_in_track(disk, free, cyl, track, align, u64::MAX)
             }
         }
@@ -361,13 +357,12 @@ impl EagerAllocator {
     /// walks forward (wrapping) and takes the first cylinder with space;
     /// two-way mode alternates ±d and stops once no unvisited location can
     /// beat the best candidate found. Dispatches on the allocator's mode;
-    /// all three implementations return the identical candidate.
+    /// both implementations return the identical candidate.
     fn greedy(&mut self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
         match self.mode {
             AllocMode::Reference => {
                 reference::greedy(disk, free, self.avoid, align, self.cfg.one_way_sweep)
             }
-            AllocMode::Pruned => self.greedy_pruned(disk, free, align),
             AllocMode::Fast => {
                 if self.cfg.one_way_sweep {
                     self.greedy_fast_one_way(disk, free, align)
@@ -375,46 +370,6 @@ impl EagerAllocator {
                     self.greedy_fast_two_way(disk, free, align)
                 }
             }
-        }
-    }
-
-    /// The PR 2 pruned scan (retained behind `VLFS_ALLOC=pruned`): sweep
-    /// cylinders in search order, thread the incumbent's cost through the
-    /// per-track repositioning lower bound.
-    fn greedy_pruned(&self, disk: &Disk, free: &FreeMap, align: u32) -> Option<Candidate> {
-        let cyls = free.cylinders();
-        let cur = disk.head().cyl;
-        if self.cfg.one_way_sweep {
-            for w in 0..cyls {
-                let c = (cur + w) % cyls;
-                if let Some(cand) = self.best_in_cylinder(disk, free, c, align, u64::MAX) {
-                    return Some(cand);
-                }
-            }
-            None
-        } else {
-            let mut best: Option<Candidate> = None;
-            for d in 0..cyls {
-                if let Some(b) = &best {
-                    // Any candidate at distance >= d costs at least seek(d).
-                    if b.cost.total_ns() < disk.seek_ns(d) {
-                        break;
-                    }
-                }
-                for c in [cur.checked_sub(d), (cur + d < cyls).then_some(cur + d)]
-                    .into_iter()
-                    .flatten()
-                {
-                    let bound = best.as_ref().map(|b| b.cost.total_ns()).unwrap_or(u64::MAX);
-                    if let Some(cand) = self.best_in_cylinder(disk, free, c, align, bound) {
-                        best = Some(cand);
-                    }
-                    if d == 0 {
-                        break;
-                    }
-                }
-            }
-            best
         }
     }
 
@@ -576,7 +531,7 @@ impl EagerAllocator {
 }
 
 /// The pre-index exhaustive greedy search, retained as the oracle the
-/// pruned fast path is verified against: it prices every reachable free
+/// fast path is verified against: it prices every reachable free
 /// slot with the exact mechanical model and never consults the summary
 /// counts, lower bounds or word-level scans. Equivalence tests (and the
 /// microbenchmarks' before/after comparison) call these directly.
@@ -823,8 +778,8 @@ mod tests {
 
     /// The tentpole's safety net: across random fill patterns, head
     /// positions, rotation phases, disks, sweep modes, alignments and avoid
-    /// tracks, all three allocator modes — best-first indexed, pruned scan,
-    /// naive reference — must choose *exactly* the same candidate: same
+    /// tracks, both allocator modes — best-first indexed and naive
+    /// reference — must choose *exactly* the same candidate: same
     /// sector, same predicted cost. All searches resolve ties to the
     /// reference scan's first-wins order, so equality is full, not just
     /// cost equality.
@@ -879,7 +834,7 @@ mod tests {
                         };
                         for align in [8u32, 1] {
                             let picks: Vec<Option<Candidate>> =
-                                [AllocMode::Fast, AllocMode::Pruned, AllocMode::Reference]
+                                [AllocMode::Fast, AllocMode::Reference]
                                     .into_iter()
                                     .map(|mode| {
                                         let mut a = EagerAllocator::with_mode(cfg, mode);
@@ -892,14 +847,13 @@ mod tests {
                                     })
                                     .collect();
                             assert!(
-                                picks[0] == picks[2] && picks[1] == picks[2],
+                                picks[0] == picks[1],
                                 "divergence: cyls={cyls} util={util} one_way={one_way} \
                                  align={align} avoid={avoid:?} head={:?} \
-                                 fast={:?} pruned={:?} reference={:?}",
+                                 fast={:?} reference={:?}",
                                 disk.head(),
                                 picks[0],
-                                picks[1],
-                                picks[2]
+                                picks[1]
                             );
                         }
                     }
@@ -912,7 +866,7 @@ mod tests {
     /// track the reference scan visits first.
     #[test]
     fn tie_breaking_matches_reference_scan_order() {
-        let modes = [AllocMode::Fast, AllocMode::Pruned, AllocMode::Reference];
+        let modes = [AllocMode::Fast, AllocMode::Reference];
         // Mirrored cylinders: the head sits on cylinder 10 with its own
         // cylinder (and everything within distance 2) full; cylinders 8 and
         // 12 each keep one identical free block. Seek, arrival sector and
@@ -943,7 +897,6 @@ mod tests {
                 })
                 .collect();
             assert_eq!(picks[0], picks[1]);
-            assert_eq!(picks[1], picks[2]);
             if !one_way {
                 assert_eq!(
                     (picks[0].cyl, picks[0].track),
@@ -983,7 +936,6 @@ mod tests {
                 })
                 .collect();
             assert_eq!(picks[0], picks[1], "one_way={one_way}");
-            assert_eq!(picks[1], picks[2], "one_way={one_way}");
             assert_eq!((picks[0].cyl, picks[0].track), (0, 2), "one_way={one_way}");
         }
     }

@@ -18,7 +18,7 @@
 //! workload — balance automatically.
 //!
 //! This module started life in `vlfs-bench` driving only the figure
-//! points; it lives in `disksim` so the model checker and the crash-point
+//! points; it lives in `disksim` so the model checker and its crash-point
 //! sweeps (which must not depend on the bench crate) share one pool and
 //! one knob.
 
@@ -29,19 +29,16 @@ use std::thread;
 /// Number of worker threads `pmap` uses.
 ///
 /// Resolution order: [`set_threads`] (a driver's `--threads` flag), the
-/// `VLFS_THREADS` environment variable, the older `VLFS_BENCH_THREADS`
-/// spelling (kept so existing CI and scripts don't break), then the
-/// machine's available parallelism. A value of 1 disables threading
-/// entirely (pure sequential execution on the calling thread).
+/// `VLFS_THREADS` environment variable, then the machine's available
+/// parallelism. A value of 1 disables threading entirely (pure sequential
+/// execution on the calling thread).
 pub fn threads() -> usize {
     if let Some(&n) = CONFIGURED.get() {
         return n.max(1);
     }
-    for var in ["VLFS_THREADS", "VLFS_BENCH_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
+    if let Ok(v) = std::env::var("VLFS_THREADS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            return n.max(1);
         }
     }
     thread::available_parallelism().map(|n| n.get()).unwrap_or(1)

@@ -53,6 +53,19 @@ pub enum McOp {
         /// Payload tag (see [`crate::rng::fill`]).
         tag: u64,
     },
+    /// [`McOp::Write`] with `O_SYNC` data writes: acknowledged only once
+    /// the data is on the device. [`generate`] never emits it; the fixed
+    /// cut-point trace ([`crate::cuts::small_mixed`]) does.
+    SyncWrite {
+        /// Pool index of the target name.
+        name: u8,
+        /// Byte offset of the write.
+        offset: u32,
+        /// Length in bytes.
+        len: u32,
+        /// Payload tag.
+        tag: u64,
+    },
     /// Open and write `len` bytes at the current end of file.
     Append {
         /// Pool index of the target name.
@@ -267,6 +280,7 @@ mod tests {
                     McOp::Sync => 6,
                     McOp::Idle { .. } => 7,
                     McOp::CrashRemount => 8,
+                    McOp::SyncWrite { .. } => unreachable!("generate never emits SyncWrite"),
                 };
                 seen[k] = true;
             }

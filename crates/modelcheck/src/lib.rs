@@ -14,6 +14,11 @@
 //! self-contained [`shrink::Reproducer`] — stack, seed, shrunk op list —
 //! is produced.
 //!
+//! Besides seeded episodes, [`cuts::sweep_cuts`] runs one trace with a
+//! power cut at every device write it performs (or a seeded sample of
+//! them): the exhaustive crash-point check of the paper's §3 claim that
+//! every acknowledged write survives and both recovery paths agree.
+//!
 //! ## Seeding
 //!
 //! `VLFS_SEED` is the one environment entry point for reproducibility: it
@@ -27,6 +32,7 @@
 //! VLFS_MC_EPISODES=500 cargo test -p modelcheck --release -- long_run
 //! ```
 
+pub mod cuts;
 pub mod diff;
 pub mod gen;
 pub mod model;
@@ -34,6 +40,7 @@ pub mod rng;
 pub mod shrink;
 pub mod stack;
 
+pub use cuts::{small_mixed, sweep_cuts, CutReport};
 pub use diff::{run_trace, run_trace_recorded, Divergence, PlantedBug, RunStats};
 pub use gen::{generate, McOp, TraceSpec};
 pub use model::RefModel;
@@ -68,7 +75,7 @@ pub fn check_seed(
     let trace = gen::generate(seed, len);
     match diff::run_trace(cfg, &trace, &PlantedBug::None) {
         Ok(stats) => Ok(stats),
-        Err(d) => Err(Box::new(shrink::shrink(cfg, seed, &trace, &PlantedBug::None, d))),
+        Err(d) => Err(Box::new(shrink::shrink(cfg, Some(seed), &trace, &PlantedBug::None, d))),
     }
 }
 

@@ -29,8 +29,9 @@ pub struct Reproducer {
     /// The stack configuration the divergence occurred on.
     pub cfg: StackConfig,
     /// The episode seed (regenerates the *original* trace; the shrunk
-    /// trace below is what minimal replay uses).
-    pub seed: u64,
+    /// trace below is what minimal replay uses), or `None` for a trace
+    /// that was not generated.
+    pub seed: Option<u64>,
     /// The minimized trace.
     pub trace: TraceSpec,
     /// The divergence the minimized trace produces.
@@ -47,11 +48,13 @@ pub struct Reproducer {
 impl fmt::Display for Reproducer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "modelcheck divergence on stack `{}`", self.cfg)?;
-        writeln!(
-            f,
-            "  seed: {:#018x}  (replay: VLFS_SEED={:#x} cargo test -p modelcheck)",
-            self.seed, self.seed
-        )?;
+        match self.seed {
+            Some(seed) => writeln!(
+                f,
+                "  seed: {seed:#018x}  (replay: VLFS_SEED={seed:#x} cargo test -p modelcheck)"
+            )?,
+            None => writeln!(f, "  seed: none (a fixed trace: replay the shrunk trace below)")?,
+        }
         writeln!(f, "  failure: {}", self.failure)?;
         writeln!(
             f,
@@ -79,7 +82,7 @@ impl fmt::Display for Reproducer {
 /// observed `run_trace(cfg, trace, planted).is_err()`).
 pub fn shrink(
     cfg: StackConfig,
-    seed: u64,
+    seed: Option<u64>,
     trace: &TraceSpec,
     planted: &PlantedBug,
     original: Divergence,

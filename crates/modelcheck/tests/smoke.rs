@@ -98,7 +98,7 @@ fn shrunk_reproducers_identical_across_pool_widths() {
     let reproduce = |op: u64| -> Option<String> {
         let planted = PlantedBug::SilentCorruption { op, seed: seed ^ op };
         let failure = run_trace(cfg, &trace, &planted).err()?;
-        Some(shrink(cfg, seed, &trace, &planted, failure).to_string())
+        Some(shrink(cfg, Some(seed), &trace, &planted, failure).to_string())
     };
     let op = (1..=120)
         .find(|&op| reproduce(op).is_some())
@@ -134,7 +134,7 @@ fn planted_corruption_is_caught_shrunk_and_replayable() {
         })
         .expect("no planted corruption produced a divergence in 120 tries");
 
-    let repro = shrink(cfg, seed, &trace, &planted, failure);
+    let repro = shrink(cfg, Some(seed), &trace, &planted, failure);
     assert!(
         repro.trace.ops.len() <= trace.ops.len(),
         "shrinking must never grow the trace"

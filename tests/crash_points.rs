@@ -1,56 +1,136 @@
-//! Crash-point exploration across the paper's three stacks (Figure 5):
-//! UFS on a regular disk, UFS on the virtual-log disk, and the UFS file
-//! layer on the log-structured logical disk.
+//! Crash-point exploration across the paper's four stacks (Figure 5): UFS
+//! and the log-structured logical disk, each on a regular disk and on the
+//! virtual-log disk.
 //!
-//! The tier-1 tests sweep *every* crash point of the small mixed workload
-//! exhaustively, with torn-write variants on the raw-disk stacks and the
-//! recovery-path convergence checks enabled. The `#[ignore]`d tests run
-//! the larger churn workload under seeded sampling — same invariants, more
-//! state (name reuse, on-demand cleaning, bigger files).
+//! The tier-1 tests cut power at *every* device write of the small mixed
+//! trace, with torn-write variants where the raw device is a regular disk;
+//! each point runs the whole differential check, the layer-by-layer
+//! recovery checks included. The `#[ignore]`d tests cut seeded samples of
+//! the points of longer generated traces — same checks, more state (name
+//! reuse, renames, reads, idle cleaning and compaction).
 
-use crashtest::{run_sweep, StackKind, SweepConfig, Workload};
+use modelcheck::{
+    generate, small_mixed, sweep_cuts, CutReport, McOp, PlantedBug, StackConfig, TraceSpec,
+    ALL_CONFIGS,
+};
+
+fn exhaustive(cfg: StackConfig) -> CutReport {
+    let rep = sweep_cuts(cfg, &small_mixed(), None, &PlantedBug::None);
+    rep.assert_clean();
+    rep
+}
 
 #[test]
 fn exhaustive_crash_sweep_ufs_regular() {
-    let rep = run_sweep(&SweepConfig::exhaustive(StackKind::UfsRegular));
-    assert!(rep.points_run as u64 > rep.total_ops, "torn variants missing");
-    rep.assert_clean();
+    let rep = exhaustive(StackConfig::UfsRegular);
+    assert_eq!(
+        rep.points as u64,
+        3 * rep.writes + 1,
+        "torn variants missing"
+    );
 }
 
 #[test]
 fn exhaustive_crash_sweep_ufs_vld() {
-    let rep = run_sweep(&SweepConfig::exhaustive(StackKind::UfsVld));
-    assert!(rep.total_ops > 0);
-    rep.assert_clean();
+    let rep = exhaustive(StackConfig::UfsVld);
+    assert_eq!(rep.points as u64, rep.writes + 1);
 }
 
 #[test]
 fn exhaustive_crash_sweep_ufs_lfs() {
-    let rep = run_sweep(&SweepConfig::exhaustive(StackKind::UfsLfs));
-    assert!(rep.frontier_ops.len() == 3);
-    rep.assert_clean();
+    let rep = exhaustive(StackConfig::LfsRegular);
+    assert_eq!(
+        rep.points as u64,
+        3 * rep.writes + 1,
+        "torn variants missing"
+    );
 }
 
-fn churn_cfg(kind: StackKind, points: usize, seed: u64) -> SweepConfig {
-    let mut cfg = SweepConfig::sampled(kind, points, seed);
-    cfg.workload = Workload::churn(24);
-    cfg
+#[test]
+fn exhaustive_crash_sweep_lfs_vld() {
+    let rep = exhaustive(StackConfig::LfsVld);
+    assert_eq!(rep.points as u64, rep.writes + 1);
+}
+
+/// A cut inside `rename` can leave the file under both names. Recovery
+/// must keep only one, or deleting the other frees the inode under it
+/// and leaves a dangling entry.
+#[test]
+fn interrupted_rename_then_delete_leaves_no_dangling_name() {
+    let ops = vec![
+        McOp::Create { name: 13 },
+        McOp::Create { name: 7 },
+        McOp::Rename { from: 13, to: 0 },
+        McOp::Delete { name: 0 },
+    ];
+    let trace = TraceSpec { ops, cut: None };
+    for cfg in ALL_CONFIGS {
+        sweep_cuts(cfg, &trace, None, &PlantedBug::None).assert_clean();
+    }
+}
+
+/// A cut inside `delete` can clear the entry but not the inode. Recovery
+/// must free that orphan, or a later file reuses blocks it still points at.
+#[test]
+fn interrupted_delete_leaves_no_orphan_pointers() {
+    let ops = vec![
+        McOp::Create { name: 6 },
+        McOp::Write {
+            name: 6,
+            offset: 45056,
+            len: 17442,
+            tag: 1,
+        },
+        McOp::Sync,
+        McOp::Write {
+            name: 6,
+            offset: 90640,
+            len: 22939,
+            tag: 2,
+        },
+        McOp::Delete { name: 6 },
+        McOp::Create { name: 3 },
+        McOp::Append {
+            name: 3,
+            len: 12081,
+            tag: 3,
+        },
+    ];
+    let trace = TraceSpec { ops, cut: None };
+    for cfg in ALL_CONFIGS {
+        sweep_cuts(cfg, &trace, None, &PlantedBug::None).assert_clean();
+    }
+}
+
+fn sampled_churn(cfg: StackConfig, seed: u64) {
+    let mut trace = generate(seed, 96);
+    trace.cut = None;
+    // An explicit crash ends the first incarnation, the only one a cut can
+    // hit: without them the cut points span the whole trace.
+    trace.ops.retain(|op| *op != McOp::CrashRemount);
+    sweep_cuts(cfg, &trace, Some((48, seed)), &PlantedBug::None).assert_clean();
 }
 
 #[test]
 #[ignore = "large sampled sweep; run explicitly"]
 fn sampled_churn_sweep_ufs_regular() {
-    run_sweep(&churn_cfg(StackKind::UfsRegular, 48, 0x5eed_0001)).assert_clean();
+    sampled_churn(StackConfig::UfsRegular, 0x5eed_0001);
 }
 
 #[test]
 #[ignore = "large sampled sweep; run explicitly"]
 fn sampled_churn_sweep_ufs_vld() {
-    run_sweep(&churn_cfg(StackKind::UfsVld, 48, 0x5eed_0002)).assert_clean();
+    sampled_churn(StackConfig::UfsVld, 0x5eed_0002);
 }
 
 #[test]
 #[ignore = "large sampled sweep; run explicitly"]
 fn sampled_churn_sweep_ufs_lfs() {
-    run_sweep(&churn_cfg(StackKind::UfsLfs, 48, 0x5eed_0003)).assert_clean();
+    sampled_churn(StackConfig::LfsRegular, 0x5eed_0003);
+}
+
+#[test]
+#[ignore = "large sampled sweep; run explicitly"]
+fn sampled_churn_sweep_lfs_vld() {
+    sampled_churn(StackConfig::LfsVld, 0x5eed_0004);
 }
