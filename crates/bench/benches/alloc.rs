@@ -87,7 +87,7 @@ fn aged_map(spec: &DiskSpec, util: f64) -> FreeMap {
     free
 }
 
-/// The two `VLFS_ALLOC` modes side by side on aged disks: the indexed
+/// The two [`AllocMode`]s side by side on aged disks: the indexed
 /// best-first path must beat the naive oracle at every fill level.
 fn bench_modes_aged(c: &mut Criterion) {
     for pct in [25u32, 50, 75, 90] {

@@ -39,8 +39,8 @@ impl Breakdown {
 /// results instead of re-simulating them. A hit credits the recorded
 /// simulated-event count back to the global counter (the same discipline as
 /// [`crate::setup::SharedAged`] forks), so per-section event totals match a
-/// from-scratch run exactly. Gated on the snapshot switch: with
-/// `VLFS_SNAPSHOT=0` every call measures from scratch.
+/// from-scratch run exactly. Off in reference mode
+/// ([`disksim::reference_mode`]), where every call measures from scratch.
 type MeasureKey = (DevKind, DiskKind, HostModel, u64);
 fn memo() -> &'static Mutex<HashMap<MeasureKey, (Breakdown, u64)>> {
     static MEMO: OnceLock<Mutex<HashMap<MeasureKey, (Breakdown, u64)>>> = OnceLock::new();
@@ -49,7 +49,7 @@ fn memo() -> &'static Mutex<HashMap<MeasureKey, (Breakdown, u64)>> {
 
 /// Measure the breakdown for UFS on the given device at ~80 % utilisation.
 pub fn measure(dev: DevKind, disk: DiskKind, host: HostModel, updates: u64) -> FsResult<Breakdown> {
-    let use_memo = crate::setup::snapshots_enabled();
+    let use_memo = !disksim::reference_mode();
     let key = (dev, disk, host, updates);
     if use_memo {
         if let Some(&(b, events)) = memo().lock().expect("measure memo lock").get(&key) {

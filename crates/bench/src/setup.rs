@@ -8,8 +8,6 @@
 //! figure, snapshotted ([`ufs::UfsSnapshot`]), and forked copy-on-write per
 //! cell ([`SharedAged`]).
 
-use std::sync::OnceLock;
-
 use disksim::{BlockDevice, DiskSpec, RegularDisk, SimClock};
 use fscore::{FileId, FileSystem, FsResult, HostModel};
 use lfs::{lfs_filesystem, LfsConfig};
@@ -151,23 +149,11 @@ impl AgedSpec {
     }
 }
 
-/// Snapshot forking is on by default. `VLFS_SNAPSHOT=0` — or reference mode
-/// (`VLFS_REFERENCE=1`), which selects every pre-optimisation oracle path —
-/// rebuilds each cell from scratch instead; the CI identity gate diffs the
-/// two modes byte-for-byte. Read once per process.
-pub fn snapshots_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        !disksim::reference_mode()
-            && std::env::var("VLFS_SNAPSHOT").map_or(true, |v| v != "0")
-    })
-}
-
 /// Build the aged state described by `spec` from scratch. Cells whose
 /// state no other cell shares call this directly (a snapshot would cost a
 /// media flatten plus copy-on-write faults for a single use); it is also
-/// the per-cell path of [`SharedAged`] when snapshots are disabled, and the
-/// oracle the fork-identity tests compare against.
+/// the per-cell path of [`SharedAged`] under reference mode, and the oracle
+/// the fork-identity tests compare against.
 pub fn build_aged(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
     let mut fs = match (spec.dev, spec.vld_target_empty_tracks) {
         (DevKind::Vld, Some(target)) => {
@@ -202,19 +188,20 @@ pub fn build_aged(spec: &AgedSpec) -> FsResult<(Ufs, FileId, u64)> {
 ///
 /// Event accounting is rebuild-equivalent: the build's simulation events
 /// are subtracted once and credited back by every fork, so per-figure event
-/// totals match a mode where each cell rebuilds from scratch. With
-/// snapshots disabled ([`snapshots_enabled`]), or on a stack that cannot
-/// snapshot, every fork is a from-scratch [`build_aged`].
+/// totals match a mode where each cell rebuilds from scratch. Under
+/// reference mode ([`disksim::reference_mode`]), or on a stack that cannot
+/// snapshot, every fork is a from-scratch [`build_aged`]; CI diffs the two
+/// paths' figure output byte-for-byte.
 pub struct SharedAged {
     spec: AgedSpec,
     built: Option<(UfsSnapshot, FileId, u64)>,
 }
 
 impl SharedAged {
-    /// Build the state `spec` describes (when snapshots are enabled).
+    /// Build the state `spec` describes (outside reference mode).
     pub fn new(spec: AgedSpec) -> FsResult<Self> {
         let mut built = None;
-        if snapshots_enabled() {
+        if !disksim::reference_mode() {
             let (fs, file, file_blocks) = build_aged(&spec)?;
             if let Some(snap) = fs.snapshot() {
                 disksim::clock::sub_events(snap.local_events());

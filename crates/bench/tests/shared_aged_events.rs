@@ -6,13 +6,39 @@
 //! [`build_aged`] simply counts its own events. The simulation-event counter
 //! is process-wide, so this property lives alone in its own test binary —
 //! any concurrently running test would move the counter under it.
+//!
+//! The binary pins the default (optimised) side of the reference switch;
+//! `reference_switch.rs` checks the other side.
 
 use disksim::clock::events;
+use disksim::{Disk, DiskSpec, PhysAddr, SimClock, SECTOR_BYTES};
 use fscore::{FileSystem, HostModel};
 use vlfs_bench::setup::{build_aged, AgedSpec, DevKind, DiskKind, FsKind, SharedAged};
+use vlog_core::{AllocConfig, AllocMode, EagerAllocator};
 
 #[test]
 fn n_forks_credit_n_builds_and_a_direct_build_counts_once() {
+    std::env::remove_var("VLFS_REFERENCE");
+    assert!(!disksim::reference_mode());
+    assert_eq!(
+        EagerAllocator::new(AllocConfig::default()).mode(),
+        AllocMode::Fast
+    );
+
+    // The batched clock charges a write spanning two tracks as one event.
+    let mut disk = Disk::new(DiskSpec::st19101_sim(), SimClock::new());
+    let track1 = disk
+        .phys_to_lba(PhysAddr {
+            cyl: 0,
+            track: 1,
+            sector: 0,
+        })
+        .expect("track 1 exists");
+    let e0 = events();
+    disk.write_sectors(track1 - 4, &[0u8; 8 * SECTOR_BYTES])
+        .expect("in range");
+    assert_eq!(events() - e0, 1, "one event per command");
+
     let spec = AgedSpec {
         sync_writes: true,
         warmup_blocks: 200,

@@ -19,7 +19,6 @@
 
 use crate::freemap::FreeMap;
 use disksim::{CylinderPricer, Disk, Metrics, ServiceTime, TrackPricer};
-use std::sync::OnceLock;
 
 /// Which greedy-search implementation answers allocation queries. Both
 /// provably pick the same sector; they differ only in how much work they do
@@ -32,26 +31,6 @@ pub enum AllocMode {
     /// The naive exhaustive oracle: price every reachable slot, take the
     /// `min_by_key`.
     Reference,
-}
-
-/// The process-wide allocator mode: `VLFS_ALLOC={fast,reference}`,
-/// defaulting to [`AllocMode::Fast`] — or to [`AllocMode::Reference`] when
-/// reference mode (`VLFS_REFERENCE=1`) selects every pre-optimisation
-/// oracle path and `VLFS_ALLOC` is not set explicitly. Read once.
-pub fn alloc_mode() -> AllocMode {
-    static MODE: OnceLock<AllocMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("VLFS_ALLOC") {
-        Ok(v) if v == "fast" => AllocMode::Fast,
-        Ok(v) if v == "reference" => AllocMode::Reference,
-        Ok(v) => panic!("VLFS_ALLOC: unknown mode {v:?} (expected fast|reference)"),
-        Err(_) => {
-            if disksim::reference_mode() {
-                AllocMode::Reference
-            } else {
-                AllocMode::Fast
-            }
-        }
-    })
 }
 
 /// A chosen allocation target and its predicted positioning cost.
@@ -122,15 +101,21 @@ pub struct AllocatorState {
 }
 
 impl EagerAllocator {
-    /// Create an allocator with the given configuration, in the
-    /// process-wide [`alloc_mode`].
+    /// Create an allocator with the given configuration: the exhaustive
+    /// [`AllocMode::Reference`] search under reference mode
+    /// ([`disksim::reference_mode`]), [`AllocMode::Fast`] otherwise.
     pub fn new(cfg: AllocConfig) -> Self {
-        Self::with_mode(cfg, alloc_mode())
+        let mode = if disksim::reference_mode() {
+            AllocMode::Reference
+        } else {
+            AllocMode::Fast
+        };
+        Self::with_mode(cfg, mode)
     }
 
     /// Create an allocator pinned to an explicit search mode, regardless of
-    /// the `VLFS_ALLOC` environment (equivalence tests and microbenchmarks
-    /// compare the modes side by side within one process).
+    /// reference mode (equivalence tests and microbenchmarks compare the
+    /// modes side by side within one process).
     pub fn with_mode(cfg: AllocConfig, mode: AllocMode) -> Self {
         Self {
             cfg,

@@ -27,13 +27,6 @@ use crate::piecetable::PieceTable;
 use crate::tail::{TailRecord, FIRMWARE_SECTORS, TAIL_LBA};
 use disksim::{Disk, DiskError, DiskSnapshot, Result, ServiceTime, SECTOR_BYTES};
 
-/// Allocation tracing (set `VLOG_TRACE=1`), checked once per process.
-fn trace_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("VLOG_TRACE").is_some())
-}
-
 /// Sectors per data block (4 KB physical blocks, as in the paper's VLD).
 pub const BLOCK_SECTORS: u32 = 8;
 /// Bytes per data block.
@@ -513,30 +506,8 @@ impl VirtualLog {
         let cand = self
             .alloc
             .find_block(&self.disk, &self.free)
-            .ok_or_else(|| {
-                if trace_enabled() {
-                    eprintln!(
-                        "VLOG data alloc failed: free_sectors={} util={:.3}",
-                        self.free.free_sectors(),
-                        self.free.utilization()
-                    );
-                }
-                DiskError::NoSpace
-            })?;
+            .ok_or(DiskError::NoSpace)?;
         let lba = self.cand_lba(&cand)?;
-        if trace_enabled() {
-            let h = self.disk.head();
-            eprintln!(
-                "data lb={lb} -> ({}, {}, {}) head=({}, {}, {}) cost={}us",
-                cand.cyl,
-                cand.track,
-                cand.sector,
-                h.cyl,
-                h.track,
-                h.sector,
-                cand.cost.total_ns() / 1000
-            );
-        }
         let t = self.disk.write_sectors(lba, buf)?;
         self.free
             .allocate(cand.cyl, cand.track, cand.sector, BLOCK_SECTORS)?;
@@ -593,19 +564,6 @@ impl VirtualLog {
             txn,
             entries: self.map.piece_entries(piece),
         };
-        if trace_enabled() {
-            let h = self.disk.head();
-            eprintln!(
-                "map piece={piece} -> ({}, {}, {}) head=({}, {}, {}) cost={}us",
-                cand.cyl,
-                cand.track,
-                cand.sector,
-                h.cyl,
-                h.track,
-                h.sector,
-                cand.cost.total_ns() / 1000
-            );
-        }
         sector.encode_into(&mut image)?;
         // Attribute the map commit to the log machinery, not to whichever
         // host command triggered it.

@@ -142,8 +142,9 @@ impl BaseImage {
 /// shared with a snapshot copies that one track first (copy-on-write at
 /// track granularity — the same discipline `fscore`'s buffer cache applies
 /// per block). The buffers themselves are [`TrackBuf`]s, whose allocations
-/// recycle through a process-wide pool so fork-heavy runs don't churn the
-/// global allocator with track-sized chunks.
+/// recycle through a process-wide pool; the quick figure suite measured
+/// faster with the pool than with plain buffers, at some cost in peak RSS
+/// (figures in the `trackbuf` module docs).
 ///
 /// A store restored from a [`DiskSnapshot`] starts with an empty overlay
 /// on top of the snapshot's flattened [`BaseImage`]: reads fall through to

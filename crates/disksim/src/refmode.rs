@@ -1,18 +1,26 @@
-//! Process-wide switch selecting the pre-optimisation *reference* paths.
+//! The one process-wide switch selecting the *reference* paths.
 //!
-//! Several hot paths in this workspace keep their original, slower
-//! implementation around as an oracle (the same pattern as
-//! `core::alloc::reference`): the per-run stepwise clock discipline in
-//! [`crate::Disk::read_sectors`] / [`crate::Disk::write_sectors`], and the
-//! full-rescan victim pickers in `core::compact` and `lfs`. Setting
-//! `VLFS_REFERENCE=1` in the environment routes every such call site to its
-//! reference implementation for the whole process, which lets CI re-run the
-//! figure suite both ways and diff the stdout byte-for-byte.
+//! Every optimised hot path in this workspace keeps one exact,
+//! pre-optimisation oracle, and setting `VLFS_REFERENCE=1` in the
+//! environment routes the whole process through all of them at once:
 //!
-//! The switch only ever selects between *representation-equivalent* code
-//! paths — identical virtual-clock arithmetic and identical pick results —
-//! so figure output must not depend on it; the byte-identity check is what
-//! enforces that.
+//! * the stepwise disk clock — [`crate::Disk::read_sectors`] and
+//!   [`crate::Disk::write_sectors`] charge one clock event for the command
+//!   overhead and one per track run, instead of one per command;
+//! * the exhaustive allocator — `core::alloc`'s `AllocMode::Reference`
+//!   (`EagerAllocator::new` picks it) prices every reachable slot instead of
+//!   searching best-first;
+//! * the victim pickers — the compactor (`core::compact`) and the LLD
+//!   cleaner (`lfs`) rescan every track or segment instead of reading an
+//!   index;
+//! * rebuild per cell — the figure driver (`vlfs-bench`) builds every aged
+//!   state from scratch instead of forking a shared snapshot, and measures
+//!   every Figure 9 / Table 2 cell afresh with no measurement memo.
+//!
+//! Each pair is *representation-equivalent* — identical virtual-clock
+//! arithmetic, identical picks and identical state — so figure output must
+//! not depend on the switch. CI runs the quick figure suite both ways and
+//! `cmp`s the stdout byte-for-byte; that check is what enforces it.
 
 use std::sync::OnceLock;
 

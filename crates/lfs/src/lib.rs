@@ -50,6 +50,25 @@ impl Default for LfsConfig {
     }
 }
 
+impl LfsConfig {
+    /// The file layer's configuration, for formatting the stack and for
+    /// mounting it again after a crash ([`Ufs::mount`]).
+    pub fn file_layer(&self) -> UfsConfig {
+        UfsConfig {
+            inode_count: self.inode_count,
+            cache_bytes: self.cache_bytes,
+            sync_data: false,
+            // "The implementors of LLD has disabled read-ahead in MinixUFS".
+            readahead_blocks: 0,
+            // Deletes propagate to the log so dead segments become cleanable
+            // (the file layer *can* see deletes, unlike the device driver).
+            trim_on_delete: true,
+            // The NVRAM discipline: buffer until full, then drain in bulk.
+            flush_on_full: true,
+        }
+    }
+}
+
 /// Build the complete LFS stack (file layer over log-structured logical
 /// disk) on a raw device.
 pub fn lfs_filesystem(raw: Box<dyn BlockDevice>, host: HostModel, cfg: LfsConfig) -> FsResult<Ufs> {
@@ -60,19 +79,7 @@ pub fn lfs_filesystem(raw: Box<dyn BlockDevice>, host: HostModel, cfg: LfsConfig
         lld_cfg.cpu_per_block_ns = host.per_block_ns;
     }
     let lld = LogDisk::format(raw, lld_cfg)?;
-    let ufs_cfg = UfsConfig {
-        inode_count: cfg.inode_count,
-        cache_bytes: cfg.cache_bytes,
-        sync_data: false,
-        // "The implementors of LLD has disabled read-ahead in MinixUFS".
-        readahead_blocks: 0,
-        // Deletes propagate to the log so dead segments become cleanable
-        // (the file layer *can* see deletes, unlike the device driver).
-        trim_on_delete: true,
-        // The NVRAM discipline: buffer until full, then drain in bulk.
-        flush_on_full: true,
-    };
-    Ufs::format(Box::new(lld), host, ufs_cfg)
+    Ufs::format(Box::new(lld), host, cfg.file_layer())
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use disksim::{
     RegularDisk, SimClock,
 };
 use fscore::{FsResult, HostModel};
-use lfs::{LldConfig, LogDisk};
+use lfs::{LfsConfig, LldConfig, LogDisk};
 use ufs::{FsckError, Ufs, UfsConfig};
 use vlog_core::vld::{Vld, VldConfig};
 
@@ -91,17 +91,21 @@ fn vld_cfg() -> VldConfig {
     VldConfig::default()
 }
 
-fn ufs_cfg(lfs: bool) -> UfsConfig {
+/// The file layer's configuration, for format and for every remount. A
+/// small inode table keeps format cheap.
+fn ufs_cfg(cfg: StackConfig) -> UfsConfig {
+    let (inode_count, cache_bytes) = (64, 1 << 20);
+    if cfg.is_lfs() {
+        // The paper's LFS file layer: deletes propagate to the log and the
+        // cache drains in bulk.
+        return LfsConfig { inode_count, cache_bytes, ..LfsConfig::default() }.file_layer();
+    }
     UfsConfig {
-        // Small inode table keeps format cheap; read-ahead off for
-        // cross-stack uniformity (the paper disables it on the LLD).
-        inode_count: 64,
-        cache_bytes: 1 << 20,
+        inode_count,
+        cache_bytes,
+        // Read-ahead off for cross-stack uniformity (the paper disables it
+        // on the LLD).
         readahead_blocks: 0,
-        // The LFS file layer propagates deletes to the log and drains the
-        // cache in bulk, as in the paper's LFS configuration.
-        trim_on_delete: lfs,
-        flush_on_full: lfs,
         ..UfsConfig::default()
     }
 }
@@ -143,7 +147,7 @@ pub fn build_recorded(
     } else {
         faulted
     };
-    let mut fs = Ufs::format(dev, host, ufs_cfg(cfg.is_lfs()))?;
+    let mut fs = Ufs::format(dev, host, ufs_cfg(cfg))?;
     // mkfs ends with a flush: a crash before the first operation must find
     // a mountable file system even on stacks that buffer writes (the LLD's
     // partial segment is volatile until the first sync).
@@ -308,7 +312,7 @@ pub fn remount(
         }
         None => faulted,
     };
-    let mut fs = Ufs::mount(dev, HostModel::instant())?;
+    let mut fs = Ufs::mount(dev, HostModel::instant(), ufs_cfg(cfg))?;
     if let Some(&lb) = scan_only.iter().find(|&&lb| fs.block_in_use(lb)) {
         complaints.push(format!(
             "lld summary scan maps block {lb}, which the file system holds and the checkpoint \
@@ -425,6 +429,18 @@ mod tests {
             let mut buf = [0u8; 5];
             assert_eq!(fs.read(f, 0, &mut buf).expect("read"), 5);
             assert_eq!(&buf, b"hello");
+            // The remounted file layer runs the stack's config: on the LFS
+            // stacks a delete trims the file's block from the log.
+            if cfg.is_lfs() {
+                let mapped = |fs: &Ufs| {
+                    let lld = probe_device::<LogDisk>(fs.device()).expect("lld present");
+                    lld.map_snapshot().iter().filter(|&&s| s != lfs::seg::NONE).count()
+                };
+                let before = mapped(&fs);
+                fs.delete("probe").expect("delete");
+                fs.sync().expect("sync");
+                assert!(mapped(&fs) < before, "{cfg}: remounted file layer does not trim");
+            }
         }
     }
 
@@ -451,7 +467,7 @@ mod tests {
         let mut faulty = FaultDisk::new(Box::new(raw), FaultPlan::corrupt_write(2, 42));
         let tracer = disksim::Tracer::with_capacity(1 << 16);
         faulty.set_tracer(Some(tracer.clone()));
-        let mut fs = Ufs::format(Box::new(faulty), HostModel::instant(), ufs_cfg(false))
+        let mut fs = Ufs::format(Box::new(faulty), HostModel::instant(), ufs_cfg(StackConfig::UfsRegular))
             .expect("format");
         let f = fs.create("f").expect("create");
         fs.write(f, 0, &[7u8; 8192]).expect("write");

@@ -181,7 +181,9 @@ impl Ufs {
     }
 
     /// Mount an existing file system, rebuilding in-memory state from disk.
-    pub fn mount(mut dev: Box<dyn BlockDevice>, host: HostModel) -> FsResult<Ufs> {
+    /// `cfg` sets the runtime behaviour (cache, read-ahead, trim, flush
+    /// discipline); the inode count comes from the superblock.
+    pub fn mount(mut dev: Box<dyn BlockDevice>, host: HostModel, cfg: UfsConfig) -> FsResult<Ufs> {
         assert_eq!(dev.block_size(), BLOCK_SIZE);
         // Superblock/bitmap loads, the directory walk and the bitmap
         // reconciliation are all recovery-path reads.
@@ -196,7 +198,7 @@ impl Ufs {
         let layout = Layout::decode(&sb)?;
         let cfg = UfsConfig {
             inode_count: layout.inode_count,
-            ..UfsConfig::default()
+            ..cfg
         };
         // Load the bitmaps.
         let mut ibm_bytes = Vec::new();

@@ -74,7 +74,8 @@ mod tests {
         assert_eq!(&buf, b"payload");
         fs.sync().unwrap();
         // Rename is synchronous metadata: the new name survives a remount.
-        let mut fs = Ufs::mount(fs.into_device(), HostModel::instant()).unwrap();
+        let mut fs =
+            Ufs::mount(fs.into_device(), HostModel::instant(), UfsConfig::default()).unwrap();
         let g = fs.open("new").unwrap();
         let mut buf = [0u8; 7];
         assert_eq!(fs.read(g, 0, &mut buf).unwrap(), 7);
@@ -162,7 +163,7 @@ mod tests {
         fs.create("second").unwrap();
         fs.sync().unwrap();
         let dev = fs.into_device();
-        let mut fs2 = Ufs::mount(dev, HostModel::instant()).unwrap();
+        let mut fs2 = Ufs::mount(dev, HostModel::instant(), UfsConfig::default()).unwrap();
         let f2 = fs2.open("keep").unwrap();
         let mut out = vec![0u8; 15];
         assert_eq!(fs2.read(f2, 0, &mut out).unwrap(), 15);
@@ -351,7 +352,7 @@ mod tests {
         let report = crate::fsck::fsck(dev.as_mut()).unwrap();
         assert!(report.is_clean(), "errors: {:?}", report.errors);
         assert_eq!(report.files, 21, "20 nested + 1 top-level");
-        let mut fs2 = Ufs::mount(dev, HostModel::instant()).unwrap();
+        let mut fs2 = Ufs::mount(dev, HostModel::instant(), UfsConfig::default()).unwrap();
         for i in (0..20).step_by(7) {
             let f = fs2.open(&format!("a/b/f{i}")).unwrap();
             let mut out = vec![0u8; 5000];

@@ -174,7 +174,12 @@ fn ufs_on_vld_survives_crash_and_remount() {
     let o = spec.command_overhead_ns;
     let (recovered, report) = Vld::recover(disk, o, VldConfig::default()).expect("recover");
     assert!(!report.used_tail, "no shutdown happened");
-    let mut fs = Ufs::mount(Box::new(recovered), HostModel::instant()).expect("mount");
+    let mut fs = Ufs::mount(
+        Box::new(recovered),
+        HostModel::instant(),
+        UfsConfig::default(),
+    )
+    .expect("mount");
     let f = fs.open("precious").unwrap();
     let mut out = vec![0u8; 14];
     assert_eq!(fs.read(f, 0, &mut out).unwrap(), 14);
@@ -339,7 +344,8 @@ fn lfs_stack_crash_and_roll_forward() {
     };
     let raw = lld.crash();
     let lld = LogDisk::mount(raw, LldConfig::default()).unwrap();
-    let mut fs = Ufs::mount(Box::new(lld), HostModel::instant()).unwrap();
+    let cfg = LfsConfig::default().file_layer();
+    let mut fs = Ufs::mount(Box::new(lld), HostModel::instant(), cfg).unwrap();
     for i in 0..40 {
         let f = fs
             .open(&format!("durable{i}"))
